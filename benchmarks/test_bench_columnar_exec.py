@@ -18,14 +18,13 @@ independent), and requires batch mode to be at least 3× faster.
 tuples) shrinks the workload for smoke runs; ``COLUMNAR_BENCH_MIN_SPEEDUP``
 (default 3.0) relaxes the floor on constrained machines.  Measurements are
 written as JSON (``COLUMNAR_BENCH_JSON``, default
-``.benchmarks/columnar_exec.json``) so CI archives the run next to the
+``.benchmarks/out/columnar_exec.json``) so CI archives the run next to the
 physical-exec artifact.
 """
 
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.core.expressions import (
     And,
@@ -41,11 +40,11 @@ from repro.stratum.columnar import DEFAULT_BATCH_SIZE
 from repro.stratum.executor import StratumExecutor
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, scaled_paper_workload
 
-from .conftest import banner
+from .conftest import banner, bench_json_path
 
 SCALE = int(os.environ.get("COLUMNAR_BENCH_SCALE", "200"))
 MIN_SPEEDUP = float(os.environ.get("COLUMNAR_BENCH_MIN_SPEEDUP", "3.0"))
-JSON_PATH = Path(os.environ.get("COLUMNAR_BENCH_JSON", ".benchmarks/columnar_exec.json"))
+JSON_PATH = bench_json_path("COLUMNAR_BENCH_JSON", "columnar_exec.json")
 
 #: Every chunking the differential sweep must survive: degenerate,
 #: boundary-straddling, mid-size, and the measured default.

@@ -11,8 +11,13 @@ one branch per site (``FAULTS.active``, ``control.tick``) and nothing else.
   driven through a :class:`~repro.server.server.Server` with
   ``cancellation=False`` (the exact pre-robustness serving path) and with
   the default ``cancellation=True``.  The enabled configuration must stay
-  within ``FT_BENCH_TOLERANCE`` (default 5%) of the disabled wall clock —
-  min-of-``FT_BENCH_REPEATS`` on both sides to shed scheduler noise;
+  within ``FT_BENCH_TOLERANCE`` (default 5%) of the disabled CPU cost of
+  one pass of the mix.  The configurations are measured request by request
+  in ``FT_BENCH_REPEATS`` interleaved rounds (see
+  :func:`benchmarks.conftest.interleaved_request_cpu`): CPU time of
+  interleaved single requests, unlike min-of-N wall clock of a threaded
+  run, has a noise floor (about ±2% between two identical configurations)
+  well below the tolerance;
 * **guarded serving is bounded too** — generous per-request row/byte
   budgets (never tripped here) ride the same check sites, so they get the
   same budget: charging a quantum every check interval must not leave the
@@ -20,7 +25,7 @@ one branch per site (``FAULTS.active``, ``control.tick``) and nothing else.
 
 ``FT_BENCH_SCALE`` scales the stored relations, ``FT_BENCH_OPS`` the
 per-client operation count.  The measurements land in ``FT_BENCH_JSON``
-(default ``.benchmarks/fault_tolerance_overhead.json``), archived by CI
+(default ``.benchmarks/out/fault_tolerance_overhead.json``), archived by CI
 like the other benchmark artifacts.
 """
 
@@ -30,27 +35,25 @@ import json
 import os
 import threading
 import time
-from pathlib import Path
 
+from repro import ExecutionOptions
 from repro.faults import FAULTS
 from repro.server import Server
 from repro.workloads import concurrent_mix_operations
 
-from .conftest import banner, make_scaled_database
+from .conftest import banner, bench_json_path, interleaved_request_cpu, make_scaled_database
 
 SCALE = int(os.environ.get("FT_BENCH_SCALE", "8"))
 OPS = int(os.environ.get("FT_BENCH_OPS", "16"))
 REPEATS = int(os.environ.get("FT_BENCH_REPEATS", "5"))
 TOLERANCE = float(os.environ.get("FT_BENCH_TOLERANCE", "0.05"))
-JSON_PATH = Path(
-    os.environ.get("FT_BENCH_JSON", ".benchmarks/fault_tolerance_overhead.json")
-)
+JSON_PATH = bench_json_path("FT_BENCH_JSON", "fault_tolerance_overhead.json")
 
 MAX_CONCURRENCY = 4
 CLIENTS = 4
 
-#: Wall-clock noise floor: differences below this many seconds are jitter,
-#: not overhead, whatever the ratio says.
+#: Noise floor: differences below this many seconds are jitter, not
+#: overhead, whatever the ratio says.
 ABSOLUTE_SLACK_SECONDS = 0.010
 
 RESULTS: dict = {
@@ -88,52 +91,49 @@ def _drive_mix(server: Server) -> float:
 
 
 def _measure(configs: list) -> list:
-    """Min-of-REPEATS wall clock per configuration, rounds interleaved.
+    """CPU seconds of one pass of the mix per server configuration.
 
-    Each round drives every configuration back to back, so machine-load
-    drift across the run hits all configurations alike instead of biasing
-    whichever block it lands on; min-of-rounds then sheds the noisy rounds.
-    One server per configuration serves every round, so after the warmup
-    the plan cache is warm and the measurement is the serving path —
-    exactly where the cancellation checkpoints and fault gates sit.
+    One server per configuration, warmed by one concurrent pass (plan cache
+    full, pool settled), so the measurement is the serving path — exactly
+    where the cancellation checkpoints and fault gates sit.  The pass is
+    then measured request by request, interleaved across the
+    configurations, for REPEATS rounds.
     """
-    servers = [
-        (
-            config,
-            Server(
-                make_scaled_database(SCALE),
-                max_concurrency=MAX_CONCURRENCY,
-                queue_limit=None,
-                **server_kwargs,
-            ),
-        )
-        for config, server_kwargs in configs
+    operations = [
+        operation
+        for index in range(CLIENTS)
+        for operation in concurrent_mix_operations(OPS, client=index)
     ]
-    walls: dict = {config: [] for config, _ in servers}
+    servers = {
+        config: Server(
+            make_scaled_database(SCALE),
+            max_concurrency=MAX_CONCURRENCY,
+            queue_limit=None,
+            options=options,
+        )
+        for config, options in configs
+    }
     try:
-        for _, server in servers:
+        for server in servers.values():
             server.start()
             _drive_mix(server)  # warmup: fill the plan cache, settle the pool
-        for _ in range(REPEATS):
-            for config, server in servers:
-                walls[config].append(_drive_mix(server))
-        for config, server in servers:
+        costs = interleaved_request_cpu(servers, operations, REPEATS)
+        for config, server in servers.items():
             stats = server.stats()
             assert stats.failed == 0 and stats.rejected == 0
             assert stats.timed_out == 0 and stats.cancelled == 0
             assert stats.worker_crashes == 0
-            assert stats.completed == CLIENTS * OPS * (REPEATS + 1), config
+            assert stats.completed == len(operations) * (REPEATS + 1), config
     finally:
-        for _, server in servers:
+        for server in servers.values():
             server.close()
     return [
         {
             "config": config,
-            "wall_seconds_min": min(walls[config]),
-            "wall_seconds_all": walls[config],
-            "qps": CLIENTS * OPS * REPEATS / sum(walls[config]),
+            "cpu_seconds": sum(costs[config]),
+            "cpu_seconds_per_request": costs[config],
         }
-        for config, _ in servers
+        for config in servers
     ]
 
 
@@ -143,34 +143,34 @@ def test_perf_quiet_fault_tolerance_is_free():
     assert not FAULTS.active, "benchmark requires disarmed fault registry"
     baseline, cancellable, guarded = _measure(
         [
-            ("baseline", {"cancellation": False}),
-            ("cancellation", {}),
+            ("baseline", ExecutionOptions(cancellation=False)),
+            ("cancellation", ExecutionOptions()),
             (
                 "guarded",
-                {
-                    "max_rows_per_request": 50_000_000,
-                    "max_bytes_per_request": 50_000_000_000,
-                },
+                ExecutionOptions(
+                    max_rows_per_request=50_000_000,
+                    max_bytes_per_request=50_000_000_000,
+                ),
             ),
         ]
     )
 
-    base = baseline["wall_seconds_min"]
+    base = baseline["cpu_seconds"]
     for entry in (baseline, cancellable, guarded):
-        entry["overhead"] = entry["wall_seconds_min"] / base - 1.0
+        entry["overhead"] = entry["cpu_seconds"] / base - 1.0
         RESULTS[entry["config"]] = entry
         print(
-            f"{entry['config']:>12}  wall={entry['wall_seconds_min'] * 1e3:8.2f}ms  "
-            f"qps={entry['qps']:7.1f}  overhead={entry['overhead']:+7.1%}"
+            f"{entry['config']:>12}  cpu={entry['cpu_seconds'] * 1e3:8.2f}ms  "
+            f"overhead={entry['overhead']:+7.1%}"
         )
 
     budget = base * (1.0 + TOLERANCE) + ABSOLUTE_SLACK_SECONDS
-    assert cancellable["wall_seconds_min"] <= budget, (
+    assert cancellable["cpu_seconds"] <= budget, (
         f"cancellation-enabled serving cost {cancellable['overhead']:+.1%} "
         f"(> {TOLERANCE:.0%} + {ABSOLUTE_SLACK_SECONDS * 1e3:.0f}ms slack) — "
         "deadline checkpoints must stay one branch per check interval"
     )
-    assert guarded["wall_seconds_min"] <= budget, (
+    assert guarded["cpu_seconds"] <= budget, (
         f"guarded serving cost {guarded['overhead']:+.1%} "
         f"(> {TOLERANCE:.0%} + {ABSOLUTE_SLACK_SECONDS * 1e3:.0f}ms slack) — "
         "resource accounting must stay on the check-interval quantum"

@@ -10,8 +10,13 @@ site and nothing else.  Two experiments pin that:
   all (the pre-observability serving path), a constructed-but-disabled
   ``Tracer(enabled=False)`` (the one-branch path), and a fully enabled
   tracer sampling every request.  The disabled configuration must stay
-  within ``OBS_BENCH_TOLERANCE`` (default 5%) of the no-tracer wall clock —
-  min-of-``OBS_BENCH_REPEATS`` on both sides to shed scheduler noise;
+  within ``OBS_BENCH_TOLERANCE`` (default 5%) of the no-tracer CPU cost of
+  one pass of the mix.  The configurations are measured request by request
+  in ``OBS_BENCH_REPEATS`` interleaved rounds (see
+  :func:`benchmarks.conftest.interleaved_request_cpu`): CPU time of
+  interleaved single requests, unlike min-of-N wall clock of a threaded
+  run, has a noise floor (about ±2% between two identical configurations)
+  well below the tolerance;
 * **enabled is bounded** — full tracing (per-request spans, per-operator
   wall clocks on every stratum pull loop and DBMS fragment) may cost real
   time, but it must stay within ``OBS_BENCH_ENABLED_CAP`` (default 75%) of
@@ -20,7 +25,7 @@ site and nothing else.  Two experiments pin that:
 
 ``OBS_BENCH_SCALE`` scales the stored relations, ``OBS_BENCH_OPS`` the
 per-client operation count.  The measurements land in ``OBS_BENCH_JSON``
-(default ``.benchmarks/observability_overhead.json``), archived by CI like
+(default ``.benchmarks/out/observability_overhead.json``), archived by CI like
 the other benchmark artifacts.
 """
 
@@ -30,26 +35,26 @@ import json
 import os
 import threading
 import time
-from pathlib import Path
 
+from repro import ExecutionOptions
 from repro.obs import Tracer
 from repro.server import Server
 from repro.workloads import concurrent_mix_operations
 
-from .conftest import banner, make_scaled_database
+from .conftest import banner, bench_json_path, interleaved_request_cpu, make_scaled_database
 
 SCALE = int(os.environ.get("OBS_BENCH_SCALE", "8"))
 OPS = int(os.environ.get("OBS_BENCH_OPS", "16"))
 REPEATS = int(os.environ.get("OBS_BENCH_REPEATS", "3"))
 TOLERANCE = float(os.environ.get("OBS_BENCH_TOLERANCE", "0.05"))
 ENABLED_CAP = float(os.environ.get("OBS_BENCH_ENABLED_CAP", "0.75"))
-JSON_PATH = Path(os.environ.get("OBS_BENCH_JSON", ".benchmarks/observability_overhead.json"))
+JSON_PATH = bench_json_path("OBS_BENCH_JSON", "observability_overhead.json")
 
 MAX_CONCURRENCY = 4
 CLIENTS = 4
 
-#: Wall-clock noise floor: differences below this many seconds are jitter,
-#: not overhead, whatever the ratio says.
+#: Noise floor: differences below this many seconds are jitter, not
+#: overhead, whatever the ratio says.
 ABSOLUTE_SLACK_SECONDS = 0.010
 
 RESULTS: dict = {
@@ -86,63 +91,86 @@ def _drive_mix(server: Server) -> float:
     return wall
 
 
-def _measure(config: str, **server_kwargs) -> dict:
-    """Min-of-REPEATS wall clock for one server configuration.
+def _measure(configs: list) -> list:
+    """CPU seconds of one pass of the mix per server configuration.
 
-    One database and server serve all repeats, so after the first repeat the
-    plan cache is warm and the measurement is the serving path — exactly
-    where the observability hooks sit.
+    Every configuration gets its own database and server, warmed by one
+    concurrent pass (plan cache full, pool settled), so the measurement is
+    the serving path — exactly where the observability hooks sit.  The
+    pass is then measured request by request, interleaved across the
+    configurations, for REPEATS rounds.
     """
-    database = make_scaled_database(SCALE)
-    walls: list = []
-    with Server(
-        database, max_concurrency=MAX_CONCURRENCY, queue_limit=None, **server_kwargs
-    ) as server:
-        for _ in range(REPEATS):
-            walls.append(_drive_mix(server))
-        stats = server.stats()
-    assert stats.failed == 0 and stats.rejected == 0 and stats.timed_out == 0
-    assert stats.completed == CLIENTS * OPS * REPEATS
-    best = min(walls)
-    return {
-        "config": config,
-        "wall_seconds_min": best,
-        "wall_seconds_all": walls,
-        "qps": stats.completed / sum(walls),
+    operations = [
+        operation
+        for index in range(CLIENTS)
+        for operation in concurrent_mix_operations(OPS, client=index)
+    ]
+    servers = {
+        config: Server(
+            make_scaled_database(SCALE),
+            max_concurrency=MAX_CONCURRENCY,
+            queue_limit=None,
+            options=options,
+        )
+        for config, options in configs
     }
+    try:
+        for server in servers.values():
+            server.start()
+            _drive_mix(server)
+        costs = interleaved_request_cpu(servers, operations, REPEATS)
+        for config, server in servers.items():
+            stats = server.stats()
+            assert stats.failed == 0 and stats.rejected == 0 and stats.timed_out == 0
+            assert stats.completed == len(operations) * (REPEATS + 1), config
+    finally:
+        for server in servers.values():
+            server.close()
+    return [
+        {
+            "config": config,
+            "cpu_seconds": sum(costs[config]),
+            "cpu_seconds_per_request": costs[config],
+        }
+        for config in servers
+    ]
 
 
 def test_perf_disabled_observability_is_free():
     """tracer=None vs. Tracer(enabled=False): the one-branch path costs ≤5%."""
     print(banner(f"Perf-O — observability overhead, scale {SCALE}, {OPS} ops/client"))
-    absent = _measure("absent")
-    disabled = _measure("disabled", tracer=Tracer(enabled=False))
-    enabled = _measure("enabled", tracer=Tracer())
-    sampled = _measure("sampled-16", tracer=Tracer(sample_every=16))
+    absent, disabled, enabled, sampled = _measure(
+        [
+            ("absent", ExecutionOptions()),
+            ("disabled", ExecutionOptions(tracer=Tracer(enabled=False))),
+            ("enabled", ExecutionOptions(tracer=Tracer())),
+            ("sampled-16", ExecutionOptions(tracer=Tracer(sample_every=16))),
+        ]
+    )
 
-    base = absent["wall_seconds_min"]
+    base = absent["cpu_seconds"]
     for entry in (absent, disabled, enabled, sampled):
-        entry["overhead"] = entry["wall_seconds_min"] / base - 1.0
+        entry["overhead"] = entry["cpu_seconds"] / base - 1.0
         RESULTS[entry["config"]] = entry
         print(
-            f"{entry['config']:>11}  wall={entry['wall_seconds_min'] * 1e3:8.2f}ms  "
-            f"qps={entry['qps']:7.1f}  overhead={entry['overhead']:+7.1%}"
+            f"{entry['config']:>11}  cpu={entry['cpu_seconds'] * 1e3:8.2f}ms  "
+            f"overhead={entry['overhead']:+7.1%}"
         )
 
     budget = base * (1.0 + TOLERANCE) + ABSOLUTE_SLACK_SECONDS
-    assert disabled["wall_seconds_min"] <= budget, (
+    assert disabled["cpu_seconds"] <= budget, (
         f"disabled observability cost {disabled['overhead']:+.1%} "
         f"(> {TOLERANCE:.0%} + {ABSOLUTE_SLACK_SECONDS * 1e3:.0f}ms slack) — "
         "the no-op path must stay one branch per span site"
     )
     cap = base * (1.0 + ENABLED_CAP) + ABSOLUTE_SLACK_SECONDS
-    assert enabled["wall_seconds_min"] <= cap, (
+    assert enabled["cpu_seconds"] <= cap, (
         f"full tracing cost {enabled['overhead']:+.1%} (> {ENABLED_CAP:.0%}) — "
         "per-operator timing has left the cheap path"
     )
     # A sampled tracer must not cost what a full tracer does on the
     # requests it skips.
-    assert sampled["wall_seconds_min"] <= cap
+    assert sampled["cpu_seconds"] <= cap
 
 
 def test_perf_traces_actually_recorded_under_load():
@@ -150,7 +178,10 @@ def test_perf_traces_actually_recorded_under_load():
     tracer = Tracer(keep=8)
     database = make_scaled_database(SCALE)
     with Server(
-        database, max_concurrency=MAX_CONCURRENCY, queue_limit=None, tracer=tracer
+        database,
+        max_concurrency=MAX_CONCURRENCY,
+        queue_limit=None,
+        options=ExecutionOptions(tracer=tracer),
     ) as server:
         _drive_mix(server)
     recent = tracer.recent()

@@ -13,14 +13,13 @@ path to be at least 10× faster end to end.
 ``PHYSICAL_BENCH_SCALE`` shrinks the workload for smoke runs (default 400:
 2 000 EMPLOYEE and 3 200 PROJECT tuples, i.e. 6.4M candidate pairs for the
 reference product).  The measurements are written as JSON
-(``PHYSICAL_BENCH_JSON``, default ``.benchmarks/physical_exec.json``) so CI
+(``PHYSICAL_BENCH_JSON``, default ``.benchmarks/out/physical_exec.json``) so CI
 can archive the run next to the plan-cache and q-error artifacts.
 """
 
 import json
 import os
 import time
-from pathlib import Path
 
 from repro.core.expressions import (
     AttributeRef,
@@ -31,13 +30,14 @@ from repro.core.expressions import (
 )
 from repro.core.operations import BaseRelation, Projection, Sort, TemporalJoin
 from repro.core.order_spec import OrderSpec
+from repro import ExecutionOptions
 from repro.stratum import TemporalDatabase
 from repro.workloads import EMPLOYEE_SCHEMA, PROJECT_SCHEMA, scaled_paper_workload
 
-from .conftest import banner
+from .conftest import banner, bench_json_path
 
 SCALE = int(os.environ.get("PHYSICAL_BENCH_SCALE", "400"))
-JSON_PATH = Path(os.environ.get("PHYSICAL_BENCH_JSON", ".benchmarks/physical_exec.json"))
+JSON_PATH = bench_json_path("PHYSICAL_BENCH_JSON", "physical_exec.json")
 
 #: Shared between the tests of this module and flushed to JSON at the end.
 RESULTS: dict = {"scale": SCALE}
@@ -45,7 +45,7 @@ RESULTS: dict = {"scale": SCALE}
 
 def make_database() -> TemporalDatabase:
     employees, projects = scaled_paper_workload(SCALE)
-    database = TemporalDatabase(optimize_queries=False)
+    database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
     database.register("EMPLOYEE", employees)
     database.register("PROJECT", projects)
     RESULTS["employee_tuples"] = len(employees)

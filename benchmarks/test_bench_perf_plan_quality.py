@@ -28,7 +28,7 @@ tuples per side, i.e. 90 000 candidate pairs for the product plan; keep it
 ≥ ~120 — below that, fixed per-plan overheads swamp the quadratic term the
 2× gate measures).  The time span scales with the tuple count, so the join
 result stays non-empty at every scale.  The measurements land in
-``PLAN_QUALITY_JSON`` (default ``.benchmarks/plan_quality.json``) so CI can
+``PLAN_QUALITY_JSON`` (default ``.benchmarks/out/plan_quality.json``) so CI can
 archive them next to the other benchmark artifacts.
 """
 
@@ -36,7 +36,6 @@ import json
 import os
 import random
 import time
-from pathlib import Path
 
 from repro.core.cost import choose_best_plan, measure_cost
 from repro.core.enumeration import enumerate_plans
@@ -53,12 +52,13 @@ from repro.core.query import QueryResultSpec
 from repro.core.relation import Relation
 from repro.core.rules import DEFAULT_RULES, JOIN_RULES
 from repro.core.schema import INTEGER, RelationSchema, STRING
+from repro import ExecutionOptions
 from repro.stratum import TemporalDatabase, TemporalQueryOptimizer
 
-from .conftest import banner
+from .conftest import banner, bench_json_path
 
 SCALE = int(os.environ.get("PLAN_QUALITY_SCALE", "300"))
-JSON_PATH = Path(os.environ.get("PLAN_QUALITY_JSON", ".benchmarks/plan_quality.json"))
+JSON_PATH = bench_json_path("PLAN_QUALITY_JSON", "plan_quality.json")
 
 #: Shared between the tests of this module and flushed to JSON at the end.
 RESULTS: dict = {"scale": SCALE}
@@ -94,7 +94,7 @@ def make_database() -> TemporalDatabase:
     maintenance = Relation.from_rows(
         MAINTENANCE_SCHEMA, _interval_rows(SCALE, "m", rng)
     )
-    database = TemporalDatabase(optimize_queries=False)
+    database = TemporalDatabase(options=ExecutionOptions(optimize_queries=False))
     database.register("RESERVATION", reservations)
     database.register("MAINTENANCE", maintenance)
     RESULTS["reservation_tuples"] = len(reservations)

@@ -19,7 +19,7 @@ Three acceptance experiments for :mod:`repro.server`:
 ``SERVER_BENCH_SCALE`` scales the stored relations (default 12; CI smoke
 runs smaller), ``SERVER_BENCH_OPS`` the per-client operation count.  The
 measurements land in ``SERVER_BENCH_JSON`` (default
-``.benchmarks/server_throughput.json``), archived by CI like the other
+``.benchmarks/out/server_throughput.json``), archived by CI like the other
 benchmark artifacts.
 """
 
@@ -29,18 +29,17 @@ import json
 import os
 import threading
 import time
-from pathlib import Path
 
 from repro.server import Server, ServerOverloadedError
 from repro.session import Session
 from repro.session.cache import PlanCache
 from repro.workloads import PAPER_SQL, concurrent_mix_operations
 
-from .conftest import banner, make_scaled_database
+from .conftest import banner, bench_json_path, make_scaled_database
 
 SCALE = int(os.environ.get("SERVER_BENCH_SCALE", "12"))
 OPS = int(os.environ.get("SERVER_BENCH_OPS", "30"))
-JSON_PATH = Path(os.environ.get("SERVER_BENCH_JSON", ".benchmarks/server_throughput.json"))
+JSON_PATH = bench_json_path("SERVER_BENCH_JSON", "server_throughput.json")
 
 MAX_CONCURRENCY = 4
 CLIENT_COUNTS = (1, 4, 16)

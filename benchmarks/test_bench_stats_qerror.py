@@ -16,7 +16,7 @@ generated workload (Zipf values, clustered periods, heavy duplication):
   :func:`repro.core.cost.measure_cost`).
 
 The results are written as JSON (``STATS_QERROR_JSON``, default
-``.benchmarks/stats_qerror.json``) so CI can archive the run as an
+``.benchmarks/out/stats_qerror.json``) so CI can archive the run as an
 artifact; ``STATS_BENCH_SCALE`` shrinks the workload for smoke runs.
 """
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 from statistics import median
 
 import pytest
@@ -59,10 +58,10 @@ from repro.workloads import (
     skewed_paper_workload,
 )
 
-from .conftest import banner
+from .conftest import banner, bench_json_path
 
 SCALE = int(os.environ.get("STATS_BENCH_SCALE", "40"))
-JSON_PATH = Path(os.environ.get("STATS_QERROR_JSON", ".benchmarks/stats_qerror.json"))
+JSON_PATH = bench_json_path("STATS_QERROR_JSON", "stats_qerror.json")
 
 #: Shared between the tests of this module and flushed to JSON at the end.
 RESULTS: dict = {"scale": SCALE}

@@ -19,7 +19,7 @@ given equivalence type may fire at the location.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple as PyTuple
+from typing import Callable, List, Optional, Sequence, Tuple as PyTuple, Union
 
 from ..equivalence import EquivalenceType
 from ..operations import Operation
@@ -49,13 +49,19 @@ class TransformationRule:
     Subclasses implement :meth:`apply`, returning ``None`` when the rule's
     syntactic pattern or its local (pre-)conditions do not hold at the given
     subtree root, and a :class:`RuleApplication` otherwise.  ``apply`` must
-    be pure: it may inspect the subtree but never mutate it.
+    be pure: it may inspect the subtree but never mutate it.  A rule whose
+    pattern is rooted at one operator kind declares it as :attr:`root` and
+    starts ``apply`` with the ``isinstance(node, self.root)`` guard, so the
+    memo search can dispatch on it without calling ``apply`` at all.
     """
 
     #: Short identifier, e.g. ``"D2"`` or ``"push-selection-below-product"``.
     name: str = "rule"
     #: The strongest equivalence type the rewrite preserves.
     equivalence: EquivalenceType = EquivalenceType.LIST
+    #: Operator type (or tuple of types) the pattern's root must be an
+    #: instance of; ``apply`` returns ``None`` at any other node.
+    root: Union[type, PyTuple[type, ...]] = Operation
     #: One-line human-readable statement of the rule.
     description: str = ""
     #: Ordering hint for cost-guided search (higher fires first): rules that

@@ -48,11 +48,12 @@ class RemoveRedundantCoalescing(TransformationRule):
 
     name = "C1"
     equivalence = EquivalenceType.LIST
+    root = Coalescing
     promise = 2.0
     description = "coalT(r) = r when r is coalesced"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         if not guarantees_coalesced(node.child):
             return None
@@ -64,11 +65,12 @@ class DropCoalescingAsSnapshotMultiset(TransformationRule):
 
     name = "C2"
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
+    root = Coalescing
     promise = 2.0
     description = "coalT(r) = r as snapshot multisets"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         return application(node.child, (0,))
 
@@ -78,10 +80,11 @@ class PushSelectionBelowCoalescing(TransformationRule):
 
     name = "C3"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "selection and coalescing commute when the predicate is non-temporal"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         coalescing = node.child
         if not isinstance(coalescing, Coalescing):
@@ -97,11 +100,12 @@ class DropCoalescingBelowNonTemporalProjection(TransformationRule):
 
     name = "C4"
     equivalence = EquivalenceType.SET
+    root = Projection
     promise = 1.5
     description = "coalescing below a non-temporal projection is unnecessary for sets"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Projection):
+        if not isinstance(node, self.root):
             return None
         coalescing = node.child
         if not isinstance(coalescing, Coalescing):
@@ -126,10 +130,11 @@ class MergeCoalescingOverUnionAll(TransformationRule):
 
     name = "C5"
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
+    root = Coalescing
     description = "inner coalescings below union ALL are redundant (snapshot multisets)"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, UnionAll):
@@ -145,10 +150,11 @@ class MergeCoalescingOverTemporalUnion(TransformationRule):
 
     name = "C6"
     equivalence = EquivalenceType.LIST
+    root = Coalescing
     description = "inner coalescings below temporal union are redundant"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, TemporalUnion):
@@ -164,10 +170,11 @@ class MergeCoalescingOverTemporalAggregation(TransformationRule):
 
     name = "C7"
     equivalence = EquivalenceType.LIST
+    root = Coalescing
     description = "coalescing the argument of a temporal aggregation is redundant"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         aggregation = node.child
         if not isinstance(aggregation, TemporalAggregation):
@@ -190,10 +197,11 @@ class MergeCoalescingOverProjection(TransformationRule):
 
     name = "C8"
     equivalence = EquivalenceType.LIST
+    root = Coalescing
     description = "coalescing the argument of a time-preserving projection is redundant"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         projection = node.child
         if not isinstance(projection, Projection):
@@ -224,10 +232,11 @@ class PushCoalescingBelowTemporalProduct(TransformationRule):
 
     name = "C9"
     equivalence = EquivalenceType.MULTISET
+    root = Coalescing
     description = "coalesce the arguments of a temporal product instead of its projection"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         projection = node.child
         if not isinstance(projection, Projection):
@@ -266,10 +275,11 @@ class PushCoalescingBelowTemporalDifference(TransformationRule):
 
     name = "C10"
     equivalence = EquivalenceType.MULTISET
+    root = Coalescing
     description = "push coalescing below temporal difference"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Coalescing):
+        if not isinstance(node, self.root):
             return None
         difference = node.child
         if not isinstance(difference, TemporalDifference):

@@ -59,10 +59,11 @@ class CommuteSelections(TransformationRule):
 
     name = "σ-commute"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "adjacent selections commute"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         inner = node.child
         if not isinstance(inner, Selection):
@@ -76,10 +77,11 @@ class PushSelectionBelowProjection(TransformationRule):
 
     name = "σ-below-π"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection below projection"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         projection = node.child
         if not isinstance(projection, Projection):
@@ -96,10 +98,11 @@ class PushSelectionBelowSort(TransformationRule):
 
     name = "σ-below-sort"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection below sort"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         sort = node.child
         if not isinstance(sort, Sort):
@@ -113,10 +116,11 @@ class PushSelectionBelowDuplicateElimination(TransformationRule):
 
     name = "σ-below-rdup"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection below duplicate elimination"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         rdup = node.child
         if not isinstance(rdup, DuplicateElimination):
@@ -134,10 +138,11 @@ class PushSelectionBelowTemporalDuplicateElimination(TransformationRule):
 
     name = "σ-below-rdupT"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection below temporal duplicate elimination"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         rdup = node.child
         if not isinstance(rdup, TemporalDuplicateElimination):
@@ -153,9 +158,12 @@ class PushSelectionIntoProductLeft(TransformationRule):
 
     name = "σ-into-×-left"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection into the left argument of a product"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
+        if not isinstance(node, self.root):
+            return None
         return _push_into_product(node, CartesianProduct, side=0)
 
 
@@ -164,9 +172,12 @@ class PushSelectionIntoProductRight(TransformationRule):
 
     name = "σ-into-×-right"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection into the right argument of a product"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
+        if not isinstance(node, self.root):
+            return None
         return _push_into_product(node, CartesianProduct, side=1)
 
 
@@ -179,9 +190,12 @@ class PushSelectionIntoTemporalProductLeft(TransformationRule):
 
     name = "σ-into-×T-left"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection into the left argument of a temporal product"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
+        if not isinstance(node, self.root):
+            return None
         return _push_into_product(node, TemporalCartesianProduct, side=0)
 
 
@@ -190,15 +204,16 @@ class PushSelectionIntoTemporalProductRight(TransformationRule):
 
     name = "σ-into-×T-right"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection into the right argument of a temporal product"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
+        if not isinstance(node, self.root):
+            return None
         return _push_into_product(node, TemporalCartesianProduct, side=1)
 
 
-def _push_into_product(node: Operation, product_type: type, side: int) -> Optional[RuleApplication]:
-    if not isinstance(node, Selection):
-        return None
+def _push_into_product(node: Selection, product_type: type, side: int) -> Optional[RuleApplication]:
     product = node.child
     if not isinstance(product, product_type):
         return None
@@ -227,10 +242,11 @@ class PushSelectionBelowUnionAll(TransformationRule):
 
     name = "σ-below-⊔"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection below union ALL"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, UnionAll):
@@ -246,10 +262,11 @@ class PushSelectionBelowUnion(TransformationRule):
 
     name = "σ-below-∪"
     equivalence = EquivalenceType.MULTISET
+    root = Selection
     description = "push selection below multiset union"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, Union):
@@ -269,10 +286,11 @@ class PushSelectionBelowTemporalUnion(TransformationRule):
 
     name = "σ-below-∪T"
     equivalence = EquivalenceType.MULTISET
+    root = Selection
     description = "push selection below temporal union"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, TemporalUnion):
@@ -290,10 +308,11 @@ class PushSelectionIntoDifferenceLeft(TransformationRule):
 
     name = "σ-into-\\-left"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection into the left argument of a difference"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         difference = node.child
         if not isinstance(difference, Difference):
@@ -309,10 +328,11 @@ class PushSelectionIntoTemporalDifferenceLeft(TransformationRule):
 
     name = "σ-into-\\T-left"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push selection into the left argument of a temporal difference"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         difference = node.child
         if not isinstance(difference, TemporalDifference):
@@ -330,10 +350,11 @@ class PushSelectionBelowAggregation(TransformationRule):
 
     name = "σ-below-γ"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "push a grouping-attribute selection below aggregation"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         aggregation = node.child
         if not isinstance(aggregation, Aggregation):
@@ -360,10 +381,11 @@ class PushSelectionBelowTemporalAggregation(TransformationRule):
 
     name = "σ-below-γT"
     equivalence = EquivalenceType.SNAPSHOT_MULTISET
+    root = Selection
     description = "push a grouping-attribute selection below temporal aggregation"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         aggregation = node.child
         if not isinstance(aggregation, TemporalAggregation):
@@ -388,10 +410,11 @@ class MergeProjections(TransformationRule):
 
     name = "π-cascade"
     equivalence = EquivalenceType.LIST
+    root = Projection
     description = "merge consecutive projections"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Projection):
+        if not isinstance(node, self.root):
             return None
         inner = node.child
         if not isinstance(inner, Projection):
@@ -409,10 +432,11 @@ class PushProjectionBelowUnionAll(TransformationRule):
 
     name = "π-below-⊔"
     equivalence = EquivalenceType.LIST
+    root = Projection
     description = "push projection below union ALL"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Projection):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, UnionAll):
@@ -438,10 +462,11 @@ class CommuteCartesianProduct(TransformationRule):
 
     name = "×-commute"
     equivalence = EquivalenceType.MULTISET
+    root = CartesianProduct
     description = "Cartesian product commutes (as multisets)"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, CartesianProduct):
+        if not isinstance(node, self.root):
             return None
         left_schema = node.left.output_schema()
         right_schema = node.right.output_schema()
@@ -458,10 +483,11 @@ class CommuteUnionAll(TransformationRule):
 
     name = "⊔-commute"
     equivalence = EquivalenceType.MULTISET
+    root = UnionAll
     description = "union ALL commutes (as multisets)"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, UnionAll):
+        if not isinstance(node, self.root):
             return None
         return application(UnionAll(node.right, node.left), (0,), (1,))
 
@@ -471,10 +497,11 @@ class CommuteUnion(TransformationRule):
 
     name = "∪-commute"
     equivalence = EquivalenceType.MULTISET
+    root = Union
     description = "multiset union commutes"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Union):
+        if not isinstance(node, self.root):
             return None
         return application(Union(node.right, node.left), (0,), (1,))
 
@@ -492,10 +519,11 @@ class CommuteTemporalUnion(TransformationRule):
 
     name = "∪T-commute"
     equivalence = EquivalenceType.SNAPSHOT_SET
+    root = TemporalUnion
     description = "temporal union commutes as snapshot sets"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalUnion):
+        if not isinstance(node, self.root):
             return None
         return application(TemporalUnion(node.right, node.left), (0,), (1,))
 
@@ -505,10 +533,11 @@ class AssociateUnionAll(TransformationRule):
 
     name = "⊔-assoc"
     equivalence = EquivalenceType.LIST
+    root = UnionAll
     description = "union ALL is associative"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, UnionAll):
+        if not isinstance(node, self.root):
             return None
         inner = node.left
         if not isinstance(inner, UnionAll):

@@ -40,11 +40,12 @@ class RemoveRedundantDuplicateElimination(TransformationRule):
 
     name = "D1"
     equivalence = EquivalenceType.LIST
+    root = DuplicateElimination
     promise = 2.0
     description = "rdup(r) = r when r has no duplicates"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         child = node.child
         if child.output_schema().is_temporal:
@@ -59,11 +60,12 @@ class RemoveRedundantTemporalDuplicateElimination(TransformationRule):
 
     name = "D2"
     equivalence = EquivalenceType.LIST
+    root = TemporalDuplicateElimination
     promise = 2.0
     description = "rdupT(r) = r when r has no duplicates in snapshots"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         child = node.child
         if not guarantees_no_snapshot_duplicates(child):
@@ -76,11 +78,12 @@ class DropDuplicateEliminationAsSet(TransformationRule):
 
     name = "D3"
     equivalence = EquivalenceType.SET
+    root = DuplicateElimination
     promise = 2.0
     description = "rdup(r) = r as sets"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         if node.child.output_schema().is_temporal:
             return None
@@ -92,11 +95,12 @@ class DropTemporalDuplicateEliminationAsSnapshotSet(TransformationRule):
 
     name = "D4"
     equivalence = EquivalenceType.SNAPSHOT_SET
+    root = TemporalDuplicateElimination
     promise = 2.0
     description = "rdupT(r) = r as snapshot sets"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         return application(node.child, (0,))
 
@@ -110,10 +114,11 @@ class PushDuplicateEliminationBelowUnion(TransformationRule):
 
     name = "D5"
     equivalence = EquivalenceType.LIST
+    root = DuplicateElimination
     description = "push rdup below multiset union"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, Union):
@@ -129,10 +134,11 @@ class PushTemporalDuplicateEliminationBelowTemporalUnion(TransformationRule):
 
     name = "D6"
     equivalence = EquivalenceType.LIST
+    root = TemporalDuplicateElimination
     description = "push rdupT below temporal union"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         union = node.child
         if not isinstance(union, TemporalUnion):
@@ -149,11 +155,12 @@ class CollapseDuplicateElimination(TransformationRule):
 
     name = "D-idem"
     equivalence = EquivalenceType.LIST
+    root = DuplicateElimination
     promise = 2.0
     description = "rdup is idempotent"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, DuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         if not isinstance(node.child, DuplicateElimination):
             return None
@@ -165,11 +172,12 @@ class CollapseTemporalDuplicateElimination(TransformationRule):
 
     name = "DT-idem"
     equivalence = EquivalenceType.LIST
+    root = TemporalDuplicateElimination
     promise = 2.0
     description = "rdupT is idempotent"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TemporalDuplicateElimination):
+        if not isinstance(node, self.root):
             return None
         if not isinstance(node.child, TemporalDuplicateElimination):
             return None

@@ -48,13 +48,14 @@ class FuseSelectionOverProduct(TransformationRule):
 
     name = "σ×→⋈"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "fuse a selection over a Cartesian product into a join"
     #: Removing the materialised product is the catalogue's biggest win;
     #: fire early so the memo search gets tight upper bounds fast.
     promise = 2.0
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         product = node.child
         if not isinstance(product, CartesianProduct):
@@ -68,11 +69,12 @@ class FuseSelectionOverTemporalProduct(TransformationRule):
 
     name = "σ×T→⋈T"
     equivalence = EquivalenceType.LIST
+    root = Selection
     description = "fuse a selection over a temporal product into a temporal join"
     promise = 2.0
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Selection):
+        if not isinstance(node, self.root):
             return None
         product = node.child
         if not isinstance(product, TemporalCartesianProduct):

@@ -42,11 +42,12 @@ class RemoveSatisfiedSort(TransformationRule):
 
     name = "S1"
     equivalence = EquivalenceType.LIST
+    root = Sort
     promise = 2.0
     description = "drop a sort whose order the argument already satisfies"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         existing = derive_order(node.child)
         if not node.sort_order.is_prefix_of(existing):
@@ -59,11 +60,12 @@ class DropSortAsMultiset(TransformationRule):
 
     name = "S2"
     equivalence = EquivalenceType.MULTISET
+    root = Sort
     promise = 2.0
     description = "drop a sort when only the multiset matters"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         return application(node.child, (0,))
 
@@ -76,11 +78,12 @@ class CollapseSorts(TransformationRule):
 
     name = "S3"
     equivalence = EquivalenceType.LIST
+    root = Sort
     promise = 2.0
     description = "collapse consecutive sorts"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         inner = node.child
         if not isinstance(inner, Sort):
@@ -95,10 +98,11 @@ class PushSortBelowSelection(TransformationRule):
 
     name = "S-push-σ"
     equivalence = EquivalenceType.LIST
+    root = Sort
     description = "push sort below selection"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         selection = node.child
         if not isinstance(selection, Selection):
@@ -112,10 +116,11 @@ class PushSortBelowProjection(TransformationRule):
 
     name = "S-push-π"
     equivalence = EquivalenceType.LIST
+    root = Sort
     description = "push sort below projection"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         projection = node.child
         if not isinstance(projection, Projection):
@@ -132,10 +137,11 @@ class PushSortBelowDuplicateElimination(TransformationRule):
 
     name = "S-push-rdup"
     equivalence = EquivalenceType.LIST
+    root = Sort
     description = "push sort below duplicate elimination"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         rdup = node.child
         if not isinstance(rdup, DuplicateElimination):
@@ -153,10 +159,11 @@ class PushSortBelowCoalescing(TransformationRule):
 
     name = "S-push-coal"
     equivalence = EquivalenceType.LIST
+    root = Sort
     description = "push sort below coalescing"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         coalescing = node.child
         if not isinstance(coalescing, Coalescing):
@@ -172,10 +179,11 @@ class PushSortBelowDifference(TransformationRule):
 
     name = "S-push-diff"
     equivalence = EquivalenceType.LIST
+    root = Sort
     description = "push sort into the left argument of a difference"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         difference = node.child
         if not isinstance(difference, Difference):
@@ -193,10 +201,11 @@ class PushSortBelowTemporalDifference(TransformationRule):
 
     name = "S-push-diffT"
     equivalence = EquivalenceType.LIST
+    root = Sort
     description = "push sort into the left argument of a temporal difference"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, Sort):
+        if not isinstance(node, self.root):
             return None
         difference = node.child
         if not isinstance(difference, TemporalDifference):

@@ -64,11 +64,12 @@ class EliminateTransferRoundTripToDBMS(TransformationRule):
 
     name = "T-roundtrip-SD"
     equivalence = EquivalenceType.MULTISET
+    root = TransferToStratum
     promise = 2.0
     description = "eliminate a TS(TD(r)) round trip"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TransferToStratum):
+        if not isinstance(node, self.root):
             return None
         if not isinstance(node.child, TransferToDBMS):
             return None
@@ -80,11 +81,12 @@ class EliminateTransferRoundTripToStratum(TransformationRule):
 
     name = "T-roundtrip-DS"
     equivalence = EquivalenceType.MULTISET
+    root = TransferToDBMS
     promise = 2.0
     description = "eliminate a TD(TS(r)) round trip"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TransferToDBMS):
+        if not isinstance(node, self.root):
             return None
         if not isinstance(node.child, TransferToStratum):
             return None
@@ -103,10 +105,11 @@ class MoveOperationToStratum(TransformationRule):
 
     name = "T-to-stratum"
     equivalence = EquivalenceType.MULTISET
+    root = TransferToStratum
     description = "move the operation directly below a TS into the stratum"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, TransferToStratum):
+        if not isinstance(node, self.root):
             return None
         moved = node.child
         if isinstance(moved, (TransferToStratum, TransferToDBMS)) or moved.arity == 0:
@@ -128,10 +131,11 @@ class MoveOperationToDBMS(TransformationRule):
 
     name = "T-to-dbms"
     equivalence = EquivalenceType.MULTISET
+    root = CONVENTIONAL_OPERATIONS
     description = "move an operation whose inputs all come from the DBMS into the DBMS"
 
     def apply(self, node: Operation) -> Optional[RuleApplication]:
-        if not isinstance(node, CONVENTIONAL_OPERATIONS):
+        if not isinstance(node, self.root):
             return None
         if node.arity == 0 or not node.children:
             return None

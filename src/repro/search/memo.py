@@ -117,8 +117,9 @@ class Group:
     context: Context
     expressions: List[GroupExpression] = field(default_factory=list)
     #: Concrete member trees, one representative per binding feature (see
-    #: :func:`binding_feature`), by structural signature.
-    trees: Dict[PyTuple, Operation] = field(default_factory=dict)
+    #: :func:`binding_feature`), by tree id (see :meth:`Memo.tree_id`).
+    #: Append-only: exploration relies on candidate lists only growing.
+    trees: Dict[int, Operation] = field(default_factory=dict)
     #: Binding features already covered by a representative in ``trees``.
     features: Dict[PyTuple, Operation] = field(default_factory=dict)
     #: Concrete witnesses for the static guarantees (None until discovered).
@@ -153,10 +154,10 @@ class Group:
                 return witness
         return self.canonical_tree
 
-    def binding_candidates(self, limit: int) -> List[PyTuple[PyTuple, Operation]]:
-        """``(signature, tree)`` pairs to bind a rule pattern against.
+    def binding_candidates(self, limit: int) -> List[PyTuple[int, Operation]]:
+        """``(tree id, tree)`` pairs to bind a rule pattern against.
 
-        One representative per binding feature; the signatures let callers
+        One representative per binding feature; the tree ids let callers
         deduplicate whole bindings without rebuilding trees.  Cached until
         the group changes.
         """
@@ -177,8 +178,14 @@ class Memo:
         self._next_expression_id = 0
         #: (context, expression signature) -> group id
         self._expression_index: Dict[PyTuple, int] = {}
-        #: (context, concrete tree signature) -> group id
+        #: (context, tree id) -> group id
         self._tree_index: Dict[PyTuple, int] = {}
+        #: Shallow tree key (type, parameters, child tree ids) -> tree id.
+        self._tree_ids: Dict[PyTuple, int] = {}
+        #: ``id(tree)`` -> (tree, tree id).  Plan nodes are immutable and
+        #: shared between rewrites, so most lookups end here; holding the
+        #: tree keeps its ``id`` from being reused while the memo lives.
+        self._ids_by_object: Dict[int, PyTuple[Operation, int]] = {}
         #: Union-find forwarding map for merged groups.
         self._forward: Dict[int, int] = {}
         #: Bumped on every mutation; sweeps run until this stops moving.
@@ -200,6 +207,26 @@ class Memo:
     def __len__(self) -> int:
         return len(self.groups)
 
+    def tree_id(self, tree: Operation) -> int:
+        """A small integer naming ``tree``'s structural signature.
+
+        Two trees get the same id exactly when their
+        :meth:`~repro.core.operations.base.Operation.signature` values are
+        equal.  Ids are hash-consed bottom-up from shallow keys, so neither
+        computing nor comparing one walks or hashes a deep signature.
+        """
+        cached = self._ids_by_object.get(id(tree))
+        if cached is not None:
+            return cached[1]
+        key = (
+            type(tree).__name__,
+            tree.params(),
+            tuple(self.tree_id(child) for child in tree.children),
+        )
+        tree_id = self._tree_ids.setdefault(key, len(self._tree_ids))
+        self._ids_by_object[id(tree)] = (tree, tree_id)
+        return tree_id
+
     # -- interning --------------------------------------------------------------
 
     def copy_in(self, tree: Operation, context: Context) -> int:
@@ -210,7 +237,7 @@ class Memo:
         so a rule admitted at some location of a concrete plan is admitted at
         the corresponding (group, context) of the memo.
         """
-        tree_key = (context, tree.signature())
+        tree_key = (context, self.tree_id(tree))
         existing = self._tree_index.get(tree_key)
         if existing is not None:
             return self.find(existing)
@@ -282,7 +309,7 @@ class Memo:
         self.mutations += 1
         self._expression_index[key] = group.id
         self._intern_tree(group, source)
-        self._tree_index.setdefault((group.context, source.signature()), group.id)
+        self._tree_index.setdefault((group.context, self.tree_id(source)), group.id)
         return expression
 
     # -- internals --------------------------------------------------------------
@@ -329,11 +356,14 @@ class Memo:
         return group.id
 
     def _intern_tree(self, group: Group, tree: Operation) -> None:
+        tree_id = self.tree_id(tree)
+        if tree_id in group.trees:
+            return
         feature = binding_feature(tree)
         if feature in group.features:
             return
         group.features[feature] = tree
-        group.trees[tree.signature()] = tree
+        group.trees[tree_id] = tree
         group.generation += 1
         self.mutations += 1
         no_duplicates, no_snapshot_duplicates, coalesced = feature[1]

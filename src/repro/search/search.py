@@ -66,7 +66,14 @@ class SearchStatistics:
     applications_attempted: int = 0
     applications_succeeded: int = 0
     rejected_by_properties: int = 0
+    #: Rule-application tasks skipped without calling ``apply``: the
+    #: expression's operator is not the rule's root, or its child groups
+    #: offer no binding the task has not tried already.
+    tasks_skipped: int = 0
     rule_usage: Dict[str, int] = field(default_factory=dict)
+    #: Bindings handed to each rule's ``apply`` (``rule_usage`` counts the
+    #: ones that added an expression), by rule name.
+    rule_attempts: Dict[str, int] = field(default_factory=dict)
     truncated: bool = False
     sweeps: int = 0
     context_upgrades: int = 0
@@ -78,7 +85,9 @@ class SearchStatistics:
         self.applications_attempted = exploration.applications_attempted
         self.applications_succeeded = exploration.applications_succeeded
         self.rejected_by_properties = exploration.rejected_by_properties
+        self.tasks_skipped = exploration.tasks_skipped
         self.rule_usage = dict(exploration.rule_usage)
+        self.rule_attempts = dict(exploration.rule_attempts)
         self.truncated = exploration.truncated
         self.sweeps = exploration.sweeps
         self.context_upgrades = exploration.context_upgrades
@@ -86,14 +95,18 @@ class SearchStatistics:
     def as_span_attributes(self) -> Dict[str, object]:
         """The counters as flat attributes for a request trace's optimize span.
 
-        ``memo.tasks`` counts the rule-application tasks attempted — the
-        memo search's unit of work, the analogue of Cascades' task count.
+        ``memo.tasks`` counts the bindings handed to a rule's ``apply`` —
+        the memo search's unit of work, the analogue of Cascades' task
+        count.  Only bindings whose operator matches the rule's root, and
+        that were never tried before, are counted; ``memo.tasks_skipped``
+        counts the rule-application tasks exploration skipped instead.
         """
         return {
             "memo.groups": self.groups,
             "memo.expressions": self.expressions,
             "memo.tasks": self.applications_attempted,
             "memo.tasks_succeeded": self.applications_succeeded,
+            "memo.tasks_skipped": self.tasks_skipped,
             "memo.plans_considered": self.plans_considered,
             "memo.sweeps": self.sweeps,
             "memo.rule_firings": sum(self.rule_usage.values()),

@@ -9,16 +9,18 @@ of small tasks, in the Cascades style:
 
 ``ExploreGroup``
     schedules, for every expression of the group, an ``ApplyRule`` task per
-    catalogue rule — highest :attr:`~repro.core.rules.base.TransformationRule.promise`
-    first — plus an ``OptimizeInputs`` task.
+    catalogue rule whose :attr:`~repro.core.rules.base.TransformationRule.root`
+    the expression's operator matches — highest
+    :attr:`~repro.core.rules.base.TransformationRule.promise` first — plus an
+    ``OptimizeInputs`` task.
 
 ``ApplyRule``
     binds a rule's pattern against an expression: the expression's shell is
     materialized over concrete member trees of its child groups, the rule's
-    ``apply`` runs on each binding, and admitted replacements (per the same
-    Figure 5 ``rule_application_allowed`` / involved-properties check the
-    exhaustive enumerator performs) are interned back into the expression's
-    group.
+    ``apply`` runs on each binding not tried before, and admitted
+    replacements (per the same Figure 5 ``rule_application_allowed`` /
+    involved-properties check the exhaustive enumerator performs) are
+    interned back into the expression's group.
 
 ``OptimizeInputs``
     recurses into the child groups, and performs *context upgrades*: when a
@@ -32,6 +34,13 @@ A *sweep* runs the stack to exhaustion; sweeps repeat until the memo stops
 changing (new trees discovered in one sweep become binding candidates and
 witnesses in the next), so exploration reaches the same closure the
 exhaustive enumerator computes — without ever materializing whole plans.
+
+Exploration is *incremental*: a rule is scheduled only on expressions its
+pattern root can match (Cascades-style dispatch), and an ``ApplyRule``
+whose child groups have gained no candidate since it last ran returns at
+once, since every binding it could form was tried then (the semi-naive
+evaluation idea).  Both skip only work whose outcome is already known, so
+the memo reached is the one the plain task loop reaches.
 """
 
 from __future__ import annotations
@@ -98,12 +107,21 @@ class ExplorationStatistics:
     rejected_by_properties: int = 0
     bindings_truncated: int = 0
     context_upgrades: int = 0
+    #: ``ApplyRule`` tasks never run: dispatched away by the rule's root
+    #: type, or skipped because no new binding could be formed.
+    tasks_skipped: int = 0
     sweeps: int = 0
     truncated: bool = False
     rule_usage: Dict[str, int] = field(default_factory=dict)
+    #: Bindings handed to each rule's ``apply``, by rule name.
+    rule_attempts: Dict[str, int] = field(default_factory=dict)
 
     def record_use(self, rule: TransformationRule) -> None:
         self.rule_usage[rule.name] = self.rule_usage.get(rule.name, 0) + 1
+
+    def record_attempt(self, rule: TransformationRule) -> None:
+        self.applications_attempted += 1
+        self.rule_attempts[rule.name] = self.rule_attempts.get(rule.name, 0) + 1
 
 
 @dataclass
@@ -207,27 +225,37 @@ class ApplyRule(_Task):
         group = memo.group(self.group_id)
         expression = self.expression
         rule = state.rules[self.rule_index]
-        candidate_lists = [
-            memo.group(child_id).binding_candidates(options.max_candidates_per_child)
-            for child_id in expression.children
-        ]
-        tried = state.tried.setdefault((expression.id, self.rule_index), set())
+        limit = options.max_candidates_per_child
+        child_groups = [memo.group(child_id) for child_id in expression.children]
+        # Candidate lists are prefixes of append-only member dicts, so equal
+        # canonical ids and lengths mean the very same lists as last time:
+        # every combination below is already in ``tried``.
+        watermark = tuple(
+            (child.id, min(len(child.trees), limit)) for child in child_groups
+        )
+        key = (expression.id, self.rule_index)
+        if state.watermarks.get(key) == watermark:
+            statistics.tasks_skipped += 1
+            return
+        state.watermarks[key] = watermark
+        candidate_lists = [child.binding_candidates(limit) for child in child_groups]
+        tried = state.tried.setdefault(key, set())
         combinations = 0
         for combo in itertools.product(*candidate_lists):
             if combinations >= options.max_binding_combinations:
                 statistics.bindings_truncated += 1
                 break
             combinations += 1
-            signature = tuple(candidate_signature for candidate_signature, _ in combo)
-            if signature in tried:
+            tree_ids = tuple(tree_id for tree_id, _ in combo)
+            if tree_ids in tried:
                 continue
-            tried.add(signature)
+            tried.add(tree_ids)
             binding = (
                 expression.shell.with_children([tree for _, tree in combo])
                 if combo
                 else expression.shell
             )
-            statistics.applications_attempted += 1
+            statistics.record_attempt(rule)
             application = rule.apply(binding)
             if application is None:
                 continue
@@ -268,10 +296,27 @@ class ExplorationState:
         self.stack: List[_Task] = []
         self.visited_generation: Dict[int, int] = {}
         self.scheduled: Set[int] = set()
-        self.tried: Dict[PyTuple[int, int], Set[PyTuple]] = {}
+        #: (expression id, rule index) -> child tree-id tuples already bound.
+        self.tried: Dict[PyTuple[int, int], Set[PyTuple[int, ...]]] = {}
+        #: (expression id, rule index) -> ((child group, candidates), ...)
+        #: as of the task's last run.
+        self.watermarks: Dict[PyTuple[int, int], PyTuple[PyTuple[int, int], ...]] = {}
+        #: Operator type -> indexes of the rules whose root it matches.
+        self._rules_by_type: Dict[type, List[int]] = {}
 
     def push(self, task: _Task) -> None:
         self.stack.append(task)
+
+    def rules_for(self, operator_type: type) -> List[int]:
+        """Indexes into :attr:`rules` whose pattern root ``operator_type`` matches."""
+        indexes = self._rules_by_type.get(operator_type)
+        if indexes is None:
+            indexes = self._rules_by_type[operator_type] = [
+                index
+                for index, rule in enumerate(self.rules)
+                if issubclass(operator_type, rule.root)
+            ]
+        return indexes
 
     def schedule_expression(self, group_id: int, expression: GroupExpression) -> None:
         """Queue the per-expression tasks (once per sweep per expression)."""
@@ -279,8 +324,10 @@ class ExplorationState:
             return
         self.scheduled.add(expression.id)
         self.push(OptimizeInputs(group_id, expression))
+        indexes = self.rules_for(type(expression.shell))
+        self.statistics.tasks_skipped += len(self.rules) - len(indexes)
         # Pushed in reverse so the highest-promise rule is applied first.
-        for index in range(len(self.rules) - 1, -1, -1):
+        for index in reversed(indexes):
             self.push(ApplyRule(group_id, expression, index))
 
     @property

@@ -163,7 +163,8 @@ class Session:
             )
             self._memo_tasks = metrics.counter(
                 "repro_memo_tasks_total",
-                "Memo-search rule-application tasks attempted (plan-cache misses only).",
+                "Bindings memo-search rules were tried on: root-matching, never tried "
+                "before (plan-cache misses only).",
             )
             self._operator_rows = metrics.counter(
                 "repro_operator_rows_total",

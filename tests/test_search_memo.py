@@ -139,3 +139,101 @@ class TestSearchDeterminism:
         second = search_best_plan(plan, spec, statistics=stats)
         assert first.best_plan == second.best_plan
         assert first.best_cost.total == second.best_cost.total
+
+
+class TestTreeIds:
+    def test_equal_signatures_share_an_id(self):
+        memo = Memo()
+        first = memo.tree_id(TemporalDifference(employee_names(), project_names()))
+        second = memo.tree_id(TemporalDifference(employee_names(), project_names()))
+        assert first == second
+        assert memo.tree_id(employee_names()) != memo.tree_id(project_names())
+        swapped = memo.tree_id(TemporalDifference(project_names(), employee_names()))
+        assert swapped != first
+
+
+def _plain_exploration(monkeypatch):
+    """Make exploration schedule every rule and rerun every task in full."""
+    from repro.search.tasks import ExplorationState
+
+    class Forgetful(dict):
+        def get(self, key, default=None):
+            return None
+
+    original_init = ExplorationState.__init__
+
+    def init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        self.watermarks = Forgetful()
+
+    monkeypatch.setattr(ExplorationState, "__init__", init)
+    monkeypatch.setattr(
+        ExplorationState, "rules_for", lambda self, operator_type: list(range(len(self.rules)))
+    )
+
+
+def _outcome(result):
+    statistics = result.statistics
+    return {
+        "plan": result.best_plan.signature(),
+        "cost": result.best_cost.total,
+        "rules_applied": result.rules_applied,
+        "groups": [
+            (group.id, group.context, list(group.trees), len(group.expressions))
+            for group in result.memo.groups.values()
+        ],
+        "counters": (
+            statistics.expressions,
+            statistics.merges,
+            statistics.sweeps,
+            statistics.applications_succeeded,
+            statistics.rejected_by_properties,
+            statistics.context_upgrades,
+        ),
+        "rule_usage": statistics.rule_usage,
+    }
+
+
+class TestIncrementalExploration:
+    STATISTICS = {"EMPLOYEE": 40, "PROJECT": 64}
+
+    def test_counters_account_for_every_binding(self):
+        plan, spec = paper_query()
+        statistics = search_best_plan(plan, spec, statistics=self.STATISTICS).statistics
+        assert sum(statistics.rule_attempts.values()) == statistics.applications_attempted
+        assert set(statistics.rule_usage) <= set(statistics.rule_attempts)
+        assert statistics.tasks_skipped > statistics.applications_attempted
+        assert statistics.as_span_attributes()["memo.tasks_skipped"] == statistics.tasks_skipped
+
+    def test_attempts_only_root_matching_rules(self):
+        plan, spec = paper_query()
+        result = search_best_plan(plan, spec, statistics=self.STATISTICS)
+        shell_types = {
+            type(expression.shell)
+            for group in result.memo.groups.values()
+            for expression in group.expressions
+        }
+        reachable = {
+            rule.name
+            for rule in DEFAULT_RULES
+            if any(issubclass(shell_type, rule.root) for shell_type in shell_types)
+        }
+        attempted = set(result.statistics.rule_attempts)
+        assert attempted <= reachable
+        # The paper query never derives an rdup, so D1's pattern is never bound.
+        assert "D1" not in reachable
+
+    def test_same_memo_as_the_plain_task_loop(self, monkeypatch):
+        from repro.workloads import WORKLOAD_QUERIES
+
+        incremental = {}
+        for named in WORKLOAD_QUERIES:
+            plan, spec = named.build()
+            incremental[named.name] = search_best_plan(plan, spec, statistics=self.STATISTICS)
+        _plain_exploration(monkeypatch)
+        for named in WORKLOAD_QUERIES:
+            plan, spec = named.build()
+            plain = search_best_plan(plan, spec, statistics=self.STATISTICS)
+            fast = incremental[named.name]
+            assert _outcome(fast) == _outcome(plain), named.name
+            assert fast.statistics.applications_attempted < plain.statistics.applications_attempted

@@ -21,6 +21,7 @@ from repro.server import (
     TCPClient,
     TCPFrontend,
 )
+from repro import ExecutionOptions
 from repro.obs import Tracer
 from repro.server.metrics import LatencyRecorder, percentile
 from repro.session import Session
@@ -337,7 +338,9 @@ class TestTCPFrontend:
 
 class TestObservabilityIntegration:
     def test_response_carries_timings_and_exposition_matches_stats(self):
-        with make_server(max_concurrency=2, tracer=Tracer()) as server:
+        with make_server(
+            max_concurrency=2, options=ExecutionOptions(tracer=Tracer())
+        ) as server:
             with TCPFrontend(server) as frontend:
                 host, port = frontend.address
                 with TCPClient(host, port) as client:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
+from repro import ExecutionOptions
 from repro.core.cost import CostModel, estimate_cardinality, estimate_cost
 from repro.core.expressions import (
     And,
@@ -255,7 +256,9 @@ class TestStatisticsWiring:
         plan, spec = paper_query()
         outcomes = {}
         for use_statistics in (False, True):
-            db = TemporalDatabase(optimize_queries=False, use_statistics=use_statistics)
+            db = TemporalDatabase(
+                options=ExecutionOptions(optimize_queries=False, use_statistics=use_statistics)
+            )
             for name, relation in skewed.items():
                 db.register(name, relation)
             outcomes[use_statistics] = db.execute_plan(plan, spec)

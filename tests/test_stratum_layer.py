@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import ExecutionOptions
 from repro.core.cost import CostModel
 from repro.core.equivalence import multiset_equivalent
 from repro.core.exceptions import CatalogError, ParseError
@@ -103,7 +104,9 @@ class TestTemporalDatabaseFacade:
 
     def test_execute_plan_with_optimization_disabled(self, temporal_db, paper_statement):
         plan, spec = temporal_db.parse(paper_statement)
-        database = TemporalDatabase(dbms=temporal_db.dbms, optimize_queries=False)
+        database = TemporalDatabase(
+            dbms=temporal_db.dbms, options=ExecutionOptions(optimize_queries=False)
+        )
         outcome = database.execute_plan(plan, spec)
         assert outcome.optimization.chosen_plan == plan
         assert outcome.optimization.plans_considered == 1
